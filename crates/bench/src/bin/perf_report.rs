@@ -40,7 +40,14 @@
 //!   `G !target`) checked through one `CheckSession::check_all` against
 //!   the naive per-call `check_query` loop, at n ∈ {1e3, 1e5} — the
 //!   amortization claim of the batch API (three of the four properties
-//!   reuse the one unbounded reachability solve).
+//!   reuse the one unbounded reachability solve);
+//! * a `transient` section: one `F<=300` sweep (`bounded_reach_prob`,
+//!   which carries a support window) against the same sweep as a dense
+//!   `forward_masked_into` loop that touches every state each step, on a
+//!   deep BFS-numbered layered walk (width 4, ~200k states; the window
+//!   grows one layer per step) and on the fast-mixing synthetic chain
+//!   (the window is the whole chain after a step or two, so this leg
+//!   shows the window's overhead).
 //!
 //! Future PRs append their own run to compare trajectories; keep the keys
 //! stable.
@@ -191,6 +198,33 @@ fn engine_forward(dtmc: &smg_dtmc::Dtmc, steps: usize) -> Vec<f64> {
         std::mem::swap(&mut pi, &mut next);
     }
     pi
+}
+
+/// The `F<=t` sweep as it ran before support windows: every step a full
+/// `forward_masked_into` product and a drain over every target bit.
+fn dense_bounded_reach(dtmc: &smg_dtmc::Dtmc, target: &BitVec, t: usize) -> f64 {
+    let active = target.not();
+    let mut pi = dtmc.initial_dense();
+    let mut next = vec![0.0; pi.len()];
+    let drain = |pi: &mut [f64]| {
+        let mut absorbed = 0.0;
+        for i in target.iter_ones() {
+            absorbed += pi[i];
+            pi[i] = 0.0;
+        }
+        absorbed
+    };
+    let mut absorbed = drain(&mut pi);
+    for _ in 0..t {
+        dtmc.matrix()
+            .forward_masked_into(&pi, Some(&active), &mut next);
+        std::mem::swap(&mut pi, &mut next);
+        absorbed += drain(&mut pi);
+        if absorbed >= 1.0 - 1e-15 {
+            break;
+        }
+    }
+    absorbed.min(1.0)
 }
 
 /// The seed engine's Gauss–Seidel row shape: one `successors()` allocation
@@ -486,6 +520,46 @@ fn main() {
         session_entries.push((n, per_call, batched));
     }
 
+    // Transient sweeps: windowed `F<=300` against the dense loop, on a
+    // deep BFS-numbered walk (narrow window) and a fast-mixing chain (the
+    // window is everything almost at once).
+    let horizon = 300;
+    let mut transient_entries: Vec<(&str, usize, f64, f64)> = Vec::new();
+    let (depth, synthetic_n) = if quick {
+        (5_000, 10_000)
+    } else {
+        (50_000, 100_000)
+    };
+    let layered = smg_dtmc::synthetic::layered_chain(depth, 4);
+    let layered_target = layered.label("target").expect("generator labels").clone();
+    let synthetic = synthetic_chain(synthetic_n);
+    // Off the initial state 0, so the sweep does not end at step 0.
+    let synthetic_target = BitVec::from_fn(synthetic_n, |i| i % 97 == 96);
+    for (chain, dtmc, target) in [
+        ("layered_walk", &layered, &layered_target),
+        ("synthetic", &synthetic, &synthetic_target),
+    ] {
+        let windowed = smg_dtmc::transient::bounded_reach_prob(dtmc, target, horizon)
+            .expect("target fits the chain");
+        assert_eq!(
+            windowed.to_bits(),
+            dense_bounded_reach(dtmc, target, horizon).to_bits(),
+            "windowed and dense sweeps disagree on {chain}"
+        );
+        let (dense_ns, windowed_ns) = time_pair_ns(
+            3,
+            || dense_bounded_reach(dtmc, target, horizon),
+            || smg_dtmc::transient::bounded_reach_prob(dtmc, target, horizon),
+        );
+        eprintln!(
+            "transient {chain} n={} F<={horizon}: dense {dense_ns:.0} ns, windowed \
+             {windowed_ns:.0} ns ({:.2}x)",
+            dtmc.n_states(),
+            dense_ns / windowed_ns.max(1.0)
+        );
+        transient_entries.push((chain, dtmc.n_states(), dense_ns, windowed_ns));
+    }
+
     // SpMV + Gauss-Seidel kernels.
     for &n in spmv_sizes {
         let dtmc = synthetic_chain(n);
@@ -672,6 +746,21 @@ fn main() {
              \"check_all_ns\": {batched:.1}, \"speedup\": {:.3}}}{}",
             per_call / batched.max(1.0),
             if i + 1 < session_entries.len() {
+                ","
+            } else {
+                ""
+            }
+        );
+    }
+    json.push_str("  ],\n  \"transient\": [\n");
+    for (i, (chain, n, dense_ns, windowed_ns)) in transient_entries.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"chain\": \"{chain}\", \"n\": {n}, \"horizon\": {horizon}, \
+             \"dense_ns\": {dense_ns:.1}, \"windowed_ns\": {windowed_ns:.1}, \
+             \"speedup\": {:.3}}}{}",
+            dense_ns / windowed_ns.max(1.0),
+            if i + 1 < transient_entries.len() {
                 ","
             } else {
                 ""

@@ -2,9 +2,10 @@
 //!
 //! A driver runs one of the engine's parallel workloads — sharded BFS
 //! exploration, parallel value iteration, certified interval sweeps,
-//! per-SCC topological batching — and folds every numeric result into a
+//! per-SCC topological batching, support-window transient sweeps — and
+//! folds every numeric result into a
 //! 64-bit FNV digest, **bit by bit** (`f64::to_bits`, not an epsilon
-//! comparison). All four production drivers are *bit-identical by
+//! comparison). All five production drivers are *bit-identical by
 //! construction*: the engine pins their parallel paths to the sequential
 //! results exactly, whatever the schedule, so under the chaos
 //! interleaver any digest drift is a real ordering bug. The block-hybrid
@@ -20,9 +21,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::harness::CaseParams;
-use smg_dtmc::solve;
 use smg_dtmc::synthetic::layered_chain;
 use smg_dtmc::{explore, par, pool, BitVec, Dtmc, DtmcModel, ExploreOptions};
+use smg_dtmc::{solve, transient};
 use smg_mdp::{vi, Mdp, MdpBuilder, Opt, ViOptions};
 
 /// The workloads the harness can drive.
@@ -37,6 +38,10 @@ pub enum DriverKind {
     Certified,
     /// Per-SCC topological batching, DTMC and MDP sides.
     Topo,
+    /// Support-window forward sweeps (distributions, bounded until and
+    /// reach, rewards, lazy steady state) on a BFS-numbered layered chain,
+    /// whose window slides forward one layer per step.
+    Transient,
     /// The intentionally order-dependent mutation check.
     Buggy,
     /// The second mutation check, sensitive to *deferred shares* rather
@@ -50,11 +55,12 @@ pub enum DriverKind {
 impl DriverKind {
     /// The production drivers a sweep covers by default (excludes the
     /// mutation check).
-    pub const ALL: [DriverKind; 4] = [
+    pub const ALL: [DriverKind; 5] = [
         DriverKind::Explore,
         DriverKind::Vi,
         DriverKind::Certified,
         DriverKind::Topo,
+        DriverKind::Transient,
     ];
 
     /// The driver's CLI name.
@@ -64,6 +70,7 @@ impl DriverKind {
             DriverKind::Vi => "vi",
             DriverKind::Certified => "certified",
             DriverKind::Topo => "topo",
+            DriverKind::Transient => "transient",
             DriverKind::Buggy => "buggy",
             DriverKind::Stale => "stale",
         }
@@ -76,6 +83,7 @@ impl DriverKind {
             "vi" => Some(DriverKind::Vi),
             "certified" => Some(DriverKind::Certified),
             "topo" => Some(DriverKind::Topo),
+            "transient" => Some(DriverKind::Transient),
             "buggy" => Some(DriverKind::Buggy),
             "stale" => Some(DriverKind::Stale),
             _ => None,
@@ -94,6 +102,7 @@ pub fn digest(kind: DriverKind, case: &CaseParams, parallel: bool) -> u64 {
         DriverKind::Vi => digest_vi(case, parallel),
         DriverKind::Certified => digest_certified(case, parallel),
         DriverKind::Topo => digest_topo(case, parallel),
+        DriverKind::Transient => digest_transient(case, parallel),
         DriverKind::Buggy => digest_buggy(case, parallel),
         DriverKind::Stale => digest_stale(case, parallel),
     }
@@ -451,6 +460,37 @@ fn digest_topo(case: &CaseParams, parallel: bool) -> u64 {
         .expect("topo certified VI");
     d.mix_cert(&cert);
     d.finish()
+}
+
+fn digest_transient(case: &CaseParams, parallel: bool) -> u64 {
+    // Explored sequentially: BFS numbering is what keeps the window
+    // narrow, and exploration has its own driver.
+    let model = Web {
+        seed: case.seed,
+        depth: 12,
+        width: 24,
+    };
+    let opts = ExploreOptions::default().with_threads(1);
+    let d = par::with_lane_scope(1, || explore(&model, &opts))
+        .expect("seeded model explores")
+        .dtmc;
+    let goal = d.label("goal").expect("web labels goal").clone();
+    let lhs = BitVec::from_fn(d.n_states(), |i| i % 3 != 0);
+    let lanes = if parallel { case.lanes } else { 1 };
+    par::with_lane_scope(lanes, || {
+        let mut dg = Digest::new();
+        for t in [0, 3, 7, 13] {
+            dg.mix_f64s(&transient::distribution_at(&d, t));
+            let reach = transient::bounded_reach_prob(&d, &goal, t).expect("labels fit");
+            let until = transient::bounded_until_prob(&d, &lhs, &goal, t).expect("labels fit");
+            dg.mix_f64s(&[reach, until]);
+        }
+        dg.mix_f64s(&transient::instantaneous_reward_series(&d, 13));
+        let steady = transient::detect_steady_state(&d, 1e-12, 40);
+        dg.mix_f64s(&steady.distribution);
+        dg.mix_f64s(&transient::lazy_steady_state(&d, 1e-9, 40).distribution);
+        dg.finish()
+    })
 }
 
 /// The mutation check: a prefix-sum where each task reads its

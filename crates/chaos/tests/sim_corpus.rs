@@ -18,7 +18,7 @@ use smg_chaos::harness::{
     panic_probe, params_for_seed, replay, run_case, sweep, CaseParams, SweepOptions,
 };
 
-/// Seeds 0..32 × all four production drivers, benign faults on, panic
+/// Seeds 0..32 × all five production drivers, benign faults on, panic
 /// probes on — the engine's schedule-independence must hold throughout.
 #[test]
 fn fixed_corpus_passes_across_all_drivers() {

@@ -183,10 +183,29 @@ impl BitVec {
 
     /// Iterates over the indices of set bits, in increasing order.
     pub fn iter_ones(&self) -> IterOnes<'_> {
+        self.iter_ones_in(0..self.len)
+    }
+
+    /// Iterates over the indices of set bits inside `range`, in increasing
+    /// order, a word at a time: the cost is `range.len() / 64` word loads
+    /// plus one step per set bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the vector's length.
+    pub(crate) fn iter_ones_in(&self, range: std::ops::Range<usize>) -> IterOnes<'_> {
+        assert!(range.end <= self.len, "bit range out of range");
+        let word_idx = range.start / 64;
+        let current = if range.start < range.end {
+            self.words[word_idx] & (u64::MAX << (range.start % 64))
+        } else {
+            0
+        };
         IterOnes {
             bits: self,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
+            word_idx,
+            current,
+            end: range.end,
         }
     }
 }
@@ -198,6 +217,7 @@ pub struct IterOnes<'a> {
     bits: &'a BitVec,
     word_idx: usize,
     current: u64,
+    end: usize,
 }
 
 impl Iterator for IterOnes<'_> {
@@ -208,10 +228,11 @@ impl Iterator for IterOnes<'_> {
             if self.current != 0 {
                 let tz = self.current.trailing_zeros() as usize;
                 self.current &= self.current - 1;
-                return Some(self.word_idx * 64 + tz);
+                let i = self.word_idx * 64 + tz;
+                return (i < self.end).then_some(i);
             }
             self.word_idx += 1;
-            if self.word_idx >= self.bits.words.len() {
+            if self.word_idx * 64 >= self.end {
                 return None;
             }
             self.current = self.bits.words[self.word_idx];
@@ -270,6 +291,24 @@ mod tests {
         let ones: Vec<usize> = b.iter_ones().collect();
         let expect: Vec<usize> = (0..200).filter(|i| i % 13 == 5).collect();
         assert_eq!(ones, expect);
+    }
+
+    #[test]
+    fn iter_ones_in_matches_filtered_iter_ones() {
+        let b = BitVec::from_fn(300, |i| i % 5 == 1 || i == 63 || i == 64 || i == 299);
+        for (lo, hi) in [
+            (0, 300),
+            (0, 0),
+            (63, 65),
+            (64, 64),
+            (1, 2),
+            (60, 200),
+            (299, 300),
+        ] {
+            let got: Vec<usize> = b.iter_ones_in(lo..hi).collect();
+            let want: Vec<usize> = b.iter_ones().filter(|i| (lo..hi).contains(i)).collect();
+            assert_eq!(got, want, "{lo}..{hi}");
+        }
     }
 
     #[test]

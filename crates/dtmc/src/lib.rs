@@ -41,7 +41,8 @@
 //!   `--no-default-features` — the tuned sequential loops run instead, so
 //!   small chains never pay dispatch overhead. The parallel forward product
 //!   gathers over a lazily cached transpose and is bit-identical to the
-//!   sequential scatter; [`solve::gauss_seidel_reach`] switches to a
+//!   sequential scatter; every forward step runs only over the support
+//!   window its input's mass can reach (see [`matrix`]); [`solve::gauss_seidel_reach`] switches to a
 //!   block-hybrid sweep (Gauss–Seidel within worker blocks, Jacobi across
 //!   them) pinned within tolerance of the serial solver by property tests.
 //! * **Exploration** — BFS interns states into a sharded

@@ -23,6 +23,27 @@
 //! is fully overwritten — it does not need to be zeroed between calls — and
 //! must not alias the input (enforced by borrow rules).
 //!
+//! Every forward product runs through one windowed kernel,
+//! `TransitionMatrix::forward_window_into`. It takes the *support
+//! window* of its input — a range `[lo, hi)` of state ids outside which
+//! `π` is exactly zero — and returns the window of its output: on return
+//! the output buffer is zero outside the returned window. The caller also
+//! names the range its output buffer may be dirty in, and the kernel
+//! clears only the part of that range the new window does not cover. So
+//! a sweep touches only the states its mass can occupy.
+//!
+//! The next window comes from two `u32` arrays per [`CsrMatrix`], built
+//! once in [`CsrBuilder::finish`]: `succ_hi[r]`, the largest column + 1 in
+//! rows `0..=r`, and `succ_lo[r]`, the smallest column in rows `r..n`. The
+//! window after one step from `[a, b)` is `succ_lo[a]..succ_hi[b - 1]`, an
+//! O(1) lookup.
+//! Both explorers number states in BFS order from id 0 and CSR rows are
+//! column-sorted, so on a deep chain the window grows by about one BFS
+//! level per step. Any other numbering (an imported `.tra`, a lumped
+//! quotient) still gives a correct superset, which at worst is `0..n`.
+//! Results do not depend on the window: zero-mass rows contribute no term
+//! to any sum, and every output entry keeps its summation order.
+//!
 //! # Parallelism
 //!
 //! With the crate's `parallel` feature (on by default) the sparse kernels
@@ -35,11 +56,14 @@
 //! cached transpose; entries of each transpose row are stored in ascending
 //! source-row order, which makes the parallel gather accumulate the exact
 //! summation order of the sequential scatter — results are bit-identical,
-//! not merely within tolerance.
+//! not merely within tolerance. The forward gather runs over the output
+//! window only, and the threshold is compared against the window's length,
+//! so a narrow window stays sequential even on a large chain.
 
 use crate::bitvec::BitVec;
 use crate::error::DtmcError;
 use crate::par;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Tolerance for row-stochasticity checks.
@@ -68,6 +92,11 @@ pub struct CsrMatrix {
     row_ptr: Vec<usize>,
     cols: Vec<u32>,
     vals: Vec<f64>,
+    /// `succ_lo[r]`: the smallest column in rows `r..n` (`n` if none).
+    /// Derived from `cols`, so `PartialEq` ignores it.
+    succ_lo: Vec<u32>,
+    /// `succ_hi[r]`: the largest column + 1 in rows `0..=r` (0 if none).
+    succ_hi: Vec<u32>,
     /// Lazily built transpose (parallel forward gather); not part of the
     /// matrix's logical value, so `Clone`/`PartialEq` ignore it.
     transpose: OnceLock<Transposed>,
@@ -80,6 +109,8 @@ impl Clone for CsrMatrix {
             row_ptr: self.row_ptr.clone(),
             cols: self.cols.clone(),
             vals: self.vals.clone(),
+            succ_lo: self.succ_lo.clone(),
+            succ_hi: self.succ_hi.clone(),
             transpose: OnceLock::new(),
         }
     }
@@ -177,17 +208,41 @@ impl CsrBuilder {
     }
 
     /// Finishes the square matrix; its dimension is the number of rows.
+    /// Also builds the successor bounds that give a forward step its
+    /// output window (see the module docs).
     pub fn finish(self) -> CsrMatrix {
         let n = self.rows();
         debug_assert!(
             self.cols.iter().all(|&c| (c as usize) < n),
             "column index out of range in CSR builder"
         );
+        // Rows are column-sorted, so a row's first and last entries are
+        // its smallest and largest columns.
+        let mut succ_hi = Vec::with_capacity(n);
+        let mut hi = 0u32;
+        for r in 0..n {
+            let (a, b) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            if a < b {
+                hi = hi.max(self.cols[b - 1] + 1);
+            }
+            succ_hi.push(hi);
+        }
+        let mut succ_lo = vec![0u32; n];
+        let mut lo = u32::try_from(n).expect("state ids fit in u32");
+        for r in (0..n).rev() {
+            let (a, b) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            if a < b {
+                lo = lo.min(self.cols[a]);
+            }
+            succ_lo[r] = lo;
+        }
         CsrMatrix {
             n,
             row_ptr: self.row_ptr,
             cols: self.cols,
             vals: self.vals,
+            succ_lo,
+            succ_hi,
             transpose: OnceLock::new(),
         }
     }
@@ -277,6 +332,16 @@ impl CsrMatrix {
             even += v * x[c as usize];
         }
         even + odd
+    }
+
+    /// The support window of `π · P` when `π` is zero outside `window`.
+    fn next_window(&self, window: Range<usize>) -> Range<usize> {
+        if window.is_empty() {
+            return 0..0;
+        }
+        let lo = self.succ_lo[window.start] as usize;
+        let hi = self.succ_hi[window.end - 1] as usize;
+        lo..hi.max(lo)
     }
 
     /// The transpose, built on first use and cached (used by the parallel
@@ -570,26 +635,78 @@ impl TransitionMatrix {
     /// mismatches.
     pub fn forward_masked_into(&self, pi: &[f64], active: Option<&BitVec>, out: &mut [f64]) {
         let n = self.n();
+        self.forward_window_into(pi, 0..n, active, out, 0..n);
+    }
+
+    /// The windowed forward kernel behind every forward product (see the
+    /// module docs): `out = π · P` restricted to rows with `active` set,
+    /// where `pi` is zero outside `window` and `out` may be non-zero only
+    /// inside `dirty` on entry. Returns the output's window; on return
+    /// `out` is zero outside it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pi.len() != n`, `out.len() != n`, the mask length
+    /// mismatches, or either range reaches past `n`. Debug builds also
+    /// check that `pi` is zero outside `window`.
+    pub(crate) fn forward_window_into(
+        &self,
+        pi: &[f64],
+        window: Range<usize>,
+        active: Option<&BitVec>,
+        out: &mut [f64],
+        dirty: Range<usize>,
+    ) -> Range<usize> {
+        let n = self.n();
         assert_eq!(pi.len(), n, "distribution length mismatch");
         assert_eq!(out.len(), n, "output buffer length mismatch");
         if let Some(m) = active {
             assert_eq!(m.len(), n, "mask length mismatch");
         }
+        assert!(
+            window.start <= window.end
+                && window.end <= n
+                && dirty.start <= dirty.end
+                && dirty.end <= n,
+            "window out of range"
+        );
+        debug_assert!(
+            pi[..window.start]
+                .iter()
+                .chain(&pi[window.end..])
+                .all(|&p| p == 0.0),
+            "mass outside the support window"
+        );
+        let next = match self {
+            TransitionMatrix::Sparse(m) => m.next_window(window.clone()),
+            TransitionMatrix::RankOne(m) => match (m.dist().first(), m.dist().last()) {
+                (Some(&(a, _)), Some(&(b, _))) if !window.is_empty() => a as usize..b as usize + 1,
+                _ => 0..0,
+            },
+        };
+        // Only the stale part of the dirty range needs clearing; the new
+        // window is overwritten below.
+        out[dirty.start..dirty.end.min(next.start).max(dirty.start)].fill(0.0);
+        out[dirty.start.max(next.end).min(dirty.end)..dirty.end].fill(0.0);
         match self {
-            TransitionMatrix::Sparse(m) if par::should_parallelize(n) => {
-                par::chunked_map(out, par::tune_chunk(PAR_MIN_CHUNK), |offset, chunk| {
-                    m.forward_gather_chunk(pi, active, offset, chunk)
-                });
+            TransitionMatrix::Sparse(m) if par::should_parallelize(next.len()) => {
+                let base = next.start;
+                par::chunked_map(
+                    &mut out[next.clone()],
+                    par::tune_chunk(PAR_MIN_CHUNK),
+                    |offset, chunk| m.forward_gather_chunk(pi, active, base + offset, chunk),
+                );
             }
             // The mask dispatch is hoisted out of the row loops (here and
             // in the other kernels below): the unmasked variant is the one
             // every transient sweep hits each step, and on ~1k-state chains
             // a per-row branch is a measurable fraction of the kernel.
             TransitionMatrix::Sparse(m) => {
-                out.fill(0.0);
+                out[next.clone()].fill(0.0);
                 match active {
                     None => {
-                        for (r, &p) in pi.iter().enumerate() {
+                        for r in window {
+                            let p = pi[r];
                             if p == 0.0 {
                                 continue;
                             }
@@ -599,7 +716,8 @@ impl TransitionMatrix {
                         }
                     }
                     Some(mask) => {
-                        for (r, &p) in pi.iter().enumerate() {
+                        for r in window {
+                            let p = pi[r];
                             if p == 0.0 || !mask.get(r) {
                                 continue;
                             }
@@ -612,15 +730,10 @@ impl TransitionMatrix {
             }
             TransitionMatrix::RankOne(m) => {
                 let mass: f64 = match active {
-                    None => pi.iter().sum(),
-                    Some(mask) => pi
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| mask.get(i))
-                        .map(|(_, &p)| p)
-                        .sum(),
+                    None => pi[window].iter().sum(),
+                    Some(mask) => window.filter(|&i| mask.get(i)).map(|i| pi[i]).sum(),
                 };
-                out.fill(0.0);
+                out[next.clone()].fill(0.0);
                 if mass > 0.0 {
                     for &(c, v) in m.dist() {
                         out[c as usize] += mass * v;
@@ -628,6 +741,7 @@ impl TransitionMatrix {
                 }
             }
         }
+        next
     }
 
     /// Backward product `out = P · x` (value propagation): `out[s]` is the

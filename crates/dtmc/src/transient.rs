@@ -9,75 +9,67 @@
 //! steady state when the probability of reaching a state is independent of
 //! the time step" (§III).
 //!
-//! Every loop here follows the matrix module's buffer-reuse contract: two
-//! ping-pong buffers are allocated up front and swapped each step, so a
-//! sweep over `T` steps performs zero per-step allocation regardless of
-//! horizon. The kernels themselves parallelize for large chains, running
-//! as fork-join tasks on the persistent worker pool (see [`crate::matrix`]
-//! and [`crate::pool`]) — per-step dispatch onto parked workers is cheap
-//! enough that even moderate horizons over ≥4k-state chains benefit;
-//! nothing in this module changes shape between the sequential and
-//! parallel paths.
+//! Every forward sweep runs on one private driver. It owns two ping-pong
+//! buffers, allocated once, and each buffer's *support window*: the range
+//! of state ids outside which it is exactly zero. A step runs the windowed
+//! kernel ([`crate::matrix`]), which computes only the next window and
+//! clears only the stale part of the old one; target mass is drained and
+//! rewards and distances are summed over the window only. With BFS-numbered
+//! states, a horizon much shorter than the chain's depth costs a step only
+//! the states reachable so far, not `n`. States outside the window add no
+//! term to any sum, so results are bit-identical to a dense sweep — except
+//! that a non-finite reward on a state the mass cannot reach no longer
+//! turns an expectation into NaN.
+
+mod sweep;
 
 use crate::bitvec::BitVec;
 use crate::dtmc::Dtmc;
 use crate::error::DtmcError;
 use smg_obs as obs;
+use sweep::Sweep;
+
+/// The sweep after exactly `t` unmasked steps.
+fn sweep_to(dtmc: &Dtmc, t: usize) -> Sweep<'_> {
+    let mut sweep = Sweep::new(dtmc);
+    for _ in 0..t {
+        sweep.step(None);
+    }
+    sweep
+}
 
 /// The distribution over states after exactly `t` steps.
 pub fn distribution_at(dtmc: &Dtmc, t: usize) -> Vec<f64> {
-    let mut pi = dtmc.initial_dense();
-    let mut next = vec![0.0; pi.len()];
-    for _ in 0..t {
-        dtmc.matrix().forward_into(&pi, &mut next);
-        std::mem::swap(&mut pi, &mut next);
-    }
-    pi
+    sweep_to(dtmc, t).pi
 }
 
 /// The expected instantaneous reward after exactly `t` steps — the paper's
 /// `R=? [I=T]` (property P2/C1): "a reward property that computes the
 /// expected instantaneous value of flag after exactly T transitions".
 pub fn instantaneous_reward(dtmc: &Dtmc, t: usize) -> f64 {
-    let pi = distribution_at(dtmc, t);
-    dot(&pi, dtmc.rewards())
+    sweep_to(dtmc, t).expectation(dtmc.rewards())
 }
 
 /// The expected instantaneous reward at *every* step `0..=t`, returned as a
 /// series. One forward sweep; used for steady-state tables (III–V).
 pub fn instantaneous_reward_series(dtmc: &Dtmc, t: usize) -> Vec<f64> {
+    let mut sweep = Sweep::new(dtmc);
     let mut out = Vec::with_capacity(t + 1);
-    let mut pi = dtmc.initial_dense();
-    let mut next = vec![0.0; pi.len()];
-    out.push(dot(&pi, dtmc.rewards()));
+    out.push(sweep.expectation(dtmc.rewards()));
     for _ in 0..t {
-        dtmc.matrix().forward_into(&pi, &mut next);
-        std::mem::swap(&mut pi, &mut next);
-        out.push(dot(&pi, dtmc.rewards()));
+        sweep.step(None);
+        out.push(sweep.expectation(dtmc.rewards()));
     }
     out
 }
 
 /// The probability that a state in `target` is reached within `t` steps
-/// (`P=? [F<=t target]`), treating target states as absorbing.
+/// (`P=? [F<=t target]`), treating target states as absorbing: bounded
+/// until with every state allowed on the way.
 ///
 /// A state that is initially in `target` counts as reached at step 0.
 pub fn bounded_reach_prob(dtmc: &Dtmc, target: &BitVec, t: usize) -> Result<f64, DtmcError> {
-    check_len(dtmc, target)?;
-    let active = target.not();
-    let mut pi = dtmc.initial_dense();
-    let mut next = vec![0.0; pi.len()];
-    let mut absorbed = drain_target(&mut pi, target);
-    for _ in 0..t {
-        dtmc.matrix()
-            .forward_masked_into(&pi, Some(&active), &mut next);
-        std::mem::swap(&mut pi, &mut next);
-        absorbed += drain_target(&mut pi, target);
-        if absorbed >= 1.0 - 1e-15 {
-            break;
-        }
-    }
-    Ok(absorbed.min(1.0))
+    bounded_until_prob(dtmc, &BitVec::ones(dtmc.n_states()), target, t)
 }
 
 /// The probability that *every* state visited during the first `t` steps
@@ -101,15 +93,12 @@ pub fn bounded_until_prob(
     check_len(dtmc, rhs)?;
     // Success: rhs. Failure: !lhs ∧ !rhs. Active: lhs ∧ !rhs.
     let active = lhs.and(&rhs.not());
-    let mut pi = dtmc.initial_dense();
-    let mut next = vec![0.0; pi.len()];
-    let mut success = drain_target(&mut pi, rhs);
+    let mut sweep = Sweep::new(dtmc);
+    let mut success = sweep.drain(rhs);
     // Mass in failure states simply stops propagating (masked out).
     for _ in 0..t {
-        dtmc.matrix()
-            .forward_masked_into(&pi, Some(&active), &mut next);
-        std::mem::swap(&mut pi, &mut next);
-        success += drain_target(&mut pi, rhs);
+        sweep.step(Some(&active));
+        success += sweep.drain(rhs);
         if success >= 1.0 - 1e-15 {
             break;
         }
@@ -133,18 +122,10 @@ pub fn bounded_until_values(
     let active = lhs.and(&rhs.not());
     let mut x: Vec<f64> = (0..n).map(|i| if rhs.get(i) { 1.0 } else { 0.0 }).collect();
     let mut next = vec![0.0; n];
+    // Inactive rows keep their values: 1 on rhs, 0 on failure states.
     for _ in 0..t {
         dtmc.matrix()
             .backward_masked_into(&x, Some(&active), &mut next);
-        // rhs states stay 1, failure states stay 0 (backward_masked keeps
-        // inactive rows' values, which are already 1 on rhs and 0 on fail).
-        for (i, v) in next.iter_mut().enumerate() {
-            if rhs.get(i) {
-                *v = 1.0;
-            } else if !lhs.get(i) {
-                *v = 0.0;
-            }
-        }
         std::mem::swap(&mut x, &mut next);
     }
     Ok(x)
@@ -174,16 +155,7 @@ pub fn unbounded_reach_values(
             .backward_masked_into(&x, Some(&active), &mut next);
         let diff = max_abs_diff(&x, &next);
         std::mem::swap(&mut x, &mut next);
-        if obs::enabled() {
-            obs::counter_add("smg_solve_sweeps_total", Some(("driver", "power")), 1);
-            obs::trace(&obs::ConvergenceRecord {
-                driver: "power",
-                sweep: it as u64,
-                residual: Some(diff),
-                width: None,
-                component: None,
-            });
-        }
+        trace_sweep("power", it, diff);
         if diff < tol {
             return Ok(x);
         }
@@ -218,35 +190,52 @@ impl SteadyState {
 /// Iterates the chain forward until the distribution stops changing (L∞
 /// change below `tol`) or `max_steps` is hit.
 pub fn detect_steady_state(dtmc: &Dtmc, tol: f64, max_steps: usize) -> SteadyState {
-    let mut pi = dtmc.initial_dense();
-    let mut next = vec![0.0; pi.len()];
+    steady_state(dtmc, tol, max_steps, false)
+}
+
+/// [`detect_steady_state`] on the lazy chain `½(I + P)`, which has the same
+/// stationary distributions but converges on periodic chains too. Each
+/// step is traced as a `steady` convergence record.
+pub fn lazy_steady_state(dtmc: &Dtmc, tol: f64, max_steps: usize) -> SteadyState {
+    steady_state(dtmc, tol, max_steps, true)
+}
+
+fn steady_state(dtmc: &Dtmc, tol: f64, max_steps: usize, lazy: bool) -> SteadyState {
+    let mut sweep = Sweep::new(dtmc);
     let mut delta = f64::INFINITY;
+    let mut converged_at = None;
     for step in 1..=max_steps {
-        dtmc.matrix().forward_into(&pi, &mut next);
-        delta = max_abs_diff(&pi, &next);
-        std::mem::swap(&mut pi, &mut next);
+        if lazy {
+            delta = sweep.lazy_step();
+            trace_sweep("steady", step, delta);
+        } else {
+            sweep.step(None);
+            delta = sweep.delta();
+        }
         if delta < tol {
-            return SteadyState {
-                converged_at: Some(step),
-                distribution: pi,
-                final_delta: delta,
-            };
+            converged_at = Some(step);
+            break;
         }
     }
     SteadyState {
-        converged_at: None,
-        distribution: pi,
+        converged_at,
+        distribution: sweep.pi,
         final_delta: delta,
     }
 }
 
-fn drain_target(pi: &mut [f64], target: &BitVec) -> f64 {
-    let mut absorbed = 0.0;
-    for i in target.iter_ones() {
-        absorbed += pi[i];
-        pi[i] = 0.0;
+/// Records one solver sweep and its residual, when a recorder is installed.
+fn trace_sweep(driver: &'static str, sweep: usize, residual: f64) {
+    if obs::enabled() {
+        obs::counter_add("smg_solve_sweeps_total", Some(("driver", driver)), 1);
+        obs::trace(&obs::ConvergenceRecord {
+            driver,
+            sweep: sweep as u64,
+            residual: Some(residual),
+            width: None,
+            component: None,
+        });
     }
-    absorbed
 }
 
 fn check_len(dtmc: &Dtmc, bits: &BitVec) -> Result<(), DtmcError> {

@@ -316,9 +316,22 @@ impl Recorder for Fanout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// `ACTIVE` is process-wide: a scoped recorder installed on one test
+    /// thread turns [`enabled`] on for every thread of the test binary.
+    /// Each test here installs a recorder or asserts the seam's state, so
+    /// they hold this lock and never overlap. The global-recorder test
+    /// lives in `tests/global.rs`, a separate process.
+    static SEAM: Mutex<()> = Mutex::new(());
+
+    fn seam() -> MutexGuard<'static, ()> {
+        SEAM.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn seam_is_off_by_default_and_scoped_install_restores() {
+        let _seam = seam();
         assert!(!enabled());
         // Events with no recorder vanish (and must not panic).
         counter_add("smg_test_total", None, 1);
@@ -340,6 +353,7 @@ mod tests {
 
     #[test]
     fn scoped_recorder_survives_panics() {
+        let _seam = seam();
         let cap = Arc::new(Capture::new());
         let r = std::panic::catch_unwind(|| {
             with_recorder(cap.clone(), || panic!("boom"));
@@ -351,22 +365,8 @@ mod tests {
     }
 
     #[test]
-    fn global_recorder_receives_other_threads() {
-        // Serialized with any other global-using test by the install
-        // itself being process-wide; this is the only one in this crate.
-        let cap = Arc::new(Capture::new());
-        set_global(cap.clone());
-        std::thread::spawn(|| counter_add("smg_thread_total", None, 7))
-            .join()
-            .unwrap();
-        let got = clear_global();
-        assert!(got.is_some());
-        assert_eq!(cap.counter("smg_thread_total"), 7);
-        assert!(clear_global().is_none());
-    }
-
-    #[test]
     fn span_observes_elapsed_seconds() {
+        let _seam = seam();
         let cap = Arc::new(Capture::new());
         with_recorder(cap.clone(), || {
             let span = Span::start_with("smg_test_seconds", "kind", "a");
@@ -385,6 +385,7 @@ mod tests {
 
     #[test]
     fn fanout_broadcasts() {
+        let _seam = seam();
         let a = Arc::new(Capture::new());
         let b = Arc::new(Capture::new());
         let fan = Arc::new(Fanout::new(vec![a.clone(), b.clone()]));

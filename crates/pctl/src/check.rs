@@ -890,35 +890,14 @@ impl<'a> Evaluator<'a> {
     }
 
     fn steady_prob_raw(&self, sat: &BitVec) -> Result<f64, PctlError> {
-        let dtmc = self.dtmc;
-        let mut pi = dtmc.initial_dense();
-        let mut stepped = vec![0.0; pi.len()];
-        for it in 1..=STEADY_MAX_STEPS {
-            dtmc.matrix().forward_into(&pi, &mut stepped);
-            let mut delta: f64 = 0.0;
-            for (p, s) in pi.iter_mut().zip(&stepped) {
-                let lazy = 0.5 * *p + 0.5 * s;
-                delta = delta.max((lazy - *p).abs());
-                *p = lazy;
-            }
-            if obs::enabled() {
-                obs::counter_add("smg_solve_sweeps_total", Some(("driver", "steady")), 1);
-                obs::trace(&obs::ConvergenceRecord {
-                    driver: "steady",
-                    sweep: it as u64,
-                    residual: Some(delta),
-                    width: None,
-                    component: None,
-                });
-            }
-            if delta < STEADY_TOL {
-                return Ok(sat.iter_ones().map(|i| pi[i]).sum());
-            }
+        let ss = transient::lazy_steady_state(self.dtmc, STEADY_TOL, STEADY_MAX_STEPS);
+        if ss.converged_at.is_none() {
+            return Err(PctlError::Dtmc(smg_dtmc::DtmcError::NoConvergence {
+                iterations: STEADY_MAX_STEPS,
+                residual: STEADY_TOL,
+            }));
         }
-        Err(PctlError::Dtmc(smg_dtmc::DtmcError::NoConvergence {
-            iterations: STEADY_MAX_STEPS,
-            residual: STEADY_TOL,
-        }))
+        Ok(sat.iter_ones().map(|i| ss.distribution[i]).sum())
     }
 }
 
